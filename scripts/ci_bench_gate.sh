@@ -7,9 +7,10 @@
 # if the traced topk p95 exceeds the untraced one by more than 2%.
 # bench_cache self-gates too: cached hit ratio must exceed 80% at
 # skew >= 0.99 and the cached topk p95 must stay within 1.25x of the
-# uncached skew-0 p95. bench_postings self-gates: sampled results must
-# be byte-identical across the two indexes, compressed topk p95 must
-# stay within 1.15x of uncompressed at 10k ads, and compressed index
+# uncached skew-0 p95. bench_postings self-gates: results must be
+# byte-identical across the two indexes (and, every 16th query, to the
+# exhaustive scorer), compressed topk p95 must stay within 1.15x of
+# uncompressed at 10k ads, and compressed index
 # memory must stay under 0.5x of the uncompressed estimate at the
 # largest scale run. bench_pool self-gates the multi-core scaling curve
 # (E24): >=1.6x at 2 workers and >=2.5x at 4 workers over the
@@ -67,10 +68,17 @@ for bench in $BENCHES; do
   bin="$BUILD_DIR/bench/$bench"
   [ -x "$bin" ] || { echo "FAIL: $bin not built (cmake --build $BUILD_DIR --target $bench)"; exit 2; }
   log="$TMP/$bench.log"
-  # shellcheck disable=SC2046  # args_for output is intentionally split
   echo "== $bench $(args_for "$bench")"
-  "$bin" $(args_for "$bench") >"$log" 2>&1 \
-    || { cat "$log"; echo "FAIL: $bench exited non-zero"; exit 2; }
+  # A failed self-gate fails the script, but the later benches still run
+  # so one tripped gate cannot hide another. A failing run never becomes
+  # a baseline.
+  # shellcheck disable=SC2046  # args_for output is intentionally split
+  if ! "$bin" $(args_for "$bench") >"$log" 2>&1; then
+    cat "$log"
+    echo "FAIL: $bench exited non-zero"
+    FAILED=1
+    continue
+  fi
 
   # The baseline blob is the metrics JSON alone, not the whole log —
   # stable to diff in review and immune to incidental output changes.
@@ -94,6 +102,10 @@ for bench in $BENCHES; do
 done
 
 if [ "$UPDATE" -eq 1 ]; then
+  if [ "$FAILED" -ne 0 ]; then
+    echo "bench gate: FAILED self-gates; their baselines were not updated"
+    exit 1
+  fi
   echo "bench gate: baselines updated"
   exit 0
 fi

@@ -64,6 +64,9 @@ RecommendationEngine::RecommendationEngine(
   if (options_.compressed_index) {
     cindex_ = std::make_unique<postings::CompressedAdIndex>(
         options_.postings, &metrics_);
+  } else {
+    ctr_index_scanned_ = metrics_.GetCounter("index.postings_scanned");
+    ctr_index_cell_plan_ = metrics_.GetCounter("index.cell_plan_queries");
   }
 }
 
@@ -303,8 +306,14 @@ std::vector<index::ScoredAd> RecommendationEngine::TopKAdsForTweet(
   // Over-fetch to survive budget filtering, then keep the first k with
   // budget and charge them.
   index::AdQuery query = BuildQuery(tweet, k * 2 + 4);
-  std::vector<index::ScoredAd> ranked =
-      cindex_ != nullptr ? cindex_->TopK(query) : index_.TopK(query);
+  std::vector<index::ScoredAd> ranked;
+  if (cindex_ != nullptr) {
+    ranked = cindex_->TopK(query);
+  } else {
+    ranked = index_.TopK(query);
+    ctr_index_scanned_->Inc(index_.last_postings_scanned());
+    if (index_.last_used_cell_plan()) ctr_index_cell_plan_->Inc();
+  }
   const bool cap_enabled = options_.frequency_cap.max_impressions > 0;
   std::vector<index::ScoredAd> out;
   for (const index::ScoredAd& sa : ranked) {

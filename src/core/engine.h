@@ -292,6 +292,10 @@ class RecommendationEngine {
   obs::Gauge* g_topic_triconcepts_;
   obs::Gauge* g_index_ads_;
   obs::Gauge* g_index_postings_bytes_;
+  // Scan work of the uncompressed AdIndex (nullptr when cindex_ serves;
+  // it exports its own postings.* counters).
+  obs::Counter* ctr_index_scanned_ = nullptr;
+  obs::Counter* ctr_index_cell_plan_ = nullptr;
   obs::Timer* tm_annotate_;
   obs::Timer* tm_profile_update_;
   obs::Timer* tm_index_update_;

@@ -47,6 +47,9 @@ struct TopKHeap {
     return heap.size() < k ? 0.0 : heap.top().score;
   }
 
+  /// Ad id of the entry Threshold() belongs to; requires Full().
+  uint32_t ThresholdAd() const { return heap.top().ad; }
+
   bool Full() const { return heap.size() >= k; }
 
   std::vector<ScoredAd> Drain() {

@@ -96,6 +96,36 @@ TEST_F(EngineStatsTest, TimingCanBeDisabledCountersRemain) {
   EXPECT_EQ(stats.topk_queries, workload_.tweets.size());
 }
 
+TEST_F(EngineStatsTest, IndexScanCountersReachPrometheus) {
+  auto engine = BuildAndReplay();
+  uint64_t scanned = 0;
+  uint64_t cell_plans = 0;
+  for (const feed::Tweet& t : workload_.tweets) {
+    (void)engine->TopKAdsForTweet(t, 3);
+    scanned += engine->ad_index().last_postings_scanned();
+    if (engine->ad_index().last_used_cell_plan()) ++cell_plans;
+  }
+  EXPECT_GT(scanned, 0u);
+  const obs::MetricsSnapshot snap = engine->metrics().Snapshot();
+  EXPECT_EQ(snap.counters.at("index.postings_scanned"), scanned);
+  EXPECT_EQ(snap.counters.at("index.cell_plan_queries"), cell_plans);
+  const std::string prom = obs::ExportPrometheus(snap);
+  EXPECT_NE(prom.find("adrec_index_postings_scanned_total " +
+                      std::to_string(scanned) + "\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("adrec_index_cell_plan_queries_total " +
+                      std::to_string(cell_plans) + "\n"),
+            std::string::npos);
+
+  // The compressed index exports its own postings.* scan counters.
+  EngineOptions compressed;
+  compressed.compressed_index = true;
+  auto cengine = BuildAndReplay(compressed);
+  EXPECT_EQ(cengine->metrics().Snapshot().counters.count(
+                "index.postings_scanned"),
+            0u);
+}
+
 TEST_F(EngineStatsTest, EngineJsonRoundTrips) {
   auto engine = BuildAndReplay();
   for (const feed::Tweet& t : workload_.tweets) {
