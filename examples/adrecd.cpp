@@ -108,10 +108,10 @@
 #include <vector>
 
 #include "annotate/kb_io.h"
+#include "annotate/knowledge_base.h"
 #include "core/sharded_engine.h"
 #include "obs/trace.h"
 #include "feed/trace_io.h"
-#include "feed/workload.h"
 #include "replica/follower.h"
 #include "serve/pool/pool_server.h"
 #include "serve/server.h"
@@ -321,9 +321,11 @@ int main(int argc, char** argv) {
     kb = std::shared_ptr<adrec::annotate::KnowledgeBase>(
         std::move(loaded).value().release());
   } else {
-    adrec::feed::WorkloadOptions wopts = adrec::feed::CaseStudyOptions();
-    wopts.days = 1;  // the KB does not depend on trace length
-    kb = adrec::feed::GenerateWorkload(wopts).kb;
+    // The case-study KB GenerateWorkload builds, bound to `analyzer`: the
+    // KB does not own its analyzer, so it must not come from a temporary
+    // Workload (whose analyzer dies with it).
+    kb = std::shared_ptr<adrec::annotate::KnowledgeBase>(
+        adrec::annotate::BuildDemoKnowledgeBase(analyzer.get()));
   }
 
   adrec::core::EngineOptions engine_opts;

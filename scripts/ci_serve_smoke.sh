@@ -49,7 +49,20 @@ expect "PONG" ping
 expect "OK" tweet 4 86400 "coffee and live music downtown"
 expect "OK" checkin 4 86500 7
 expect "OK" adput 1 100 50 1.5 "" "" "coffee and music deals"
-expect "ADS" topk 4 3
+TOPK="$("$CLIENT" 127.0.0.1 "$PORT" topk 4 3)" || true
+case "$TOPK" in
+  ADS*) echo "smoke: topk 4 3 -> ok" ;;
+  *) echo "FAIL: 'topk 4 3' returned '$TOPK', wanted 'ADS'"; exit 1 ;;
+esac
+# The frequency-cap ledger gauge reaches the shipped binary: every served
+# ad of the topk above is a new (user, ad) pair in the ledger.
+SERVED="$(printf '%s\n' "$TOPK" | grep -c '^AD ' || true)"
+[ "$SERVED" -ge 1 ] || { echo "FAIL: topk 4 3 served no ad: '$TOPK'"; exit 1; }
+# (grep without -q reads all input, so no SIGPIPE trips pipefail.)
+"$CLIENT" 127.0.0.1 "$PORT" metrics | tr -d '\r' |
+  grep -x "adrec_ads_freqcap_pairs $SERVED" >/dev/null ||
+  { echo "FAIL: metrics lacks 'adrec_ads_freqcap_pairs $SERVED'"; exit 1; }
+echo "smoke: adrec_ads_freqcap_pairs = $SERVED served ads -> ok"
 expect "OK" analyze 0.45
 expect "USERS" match 1
 expect "STAT engine.tweets 1" stats

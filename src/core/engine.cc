@@ -49,6 +49,10 @@ RecommendationEngine::RecommendationEngine(
       g_topic_triconcepts_(metrics_.GetGauge("tfca.topic_triconcepts")),
       g_index_ads_(metrics_.GetGauge("index.ads")),
       g_index_postings_bytes_(metrics_.GetGauge("index.postings_bytes")),
+      g_freqcap_pairs_(metrics_.GetGauge("ads.freqcap_pairs")),
+      g_freqcap_bytes_(metrics_.GetGauge("ads.freqcap_bytes")),
+      g_freqcap_pooled_pairs_(
+          metrics_.GetGauge("ads.freqcap_pooled_pairs")),
       tm_annotate_(metrics_.GetTimer("engine.annotate_us")),
       tm_profile_update_(metrics_.GetTimer("engine.profile_update_us")),
       tm_index_update_(metrics_.GetTimer("engine.index_update_us")),
@@ -177,6 +181,18 @@ void RecommendationEngine::RefreshIndexGauges() {
     g_index_ads_->Set(static_cast<double>(index_.size()));
     g_index_postings_bytes_->Set(static_cast<double>(index_.approx_bytes()));
   }
+}
+
+void RecommendationEngine::RefreshFreqCapGauges() {
+  g_freqcap_pairs_->Set(static_cast<double>(capper_.tracked_pairs()));
+  g_freqcap_bytes_->Set(static_cast<double>(capper_.approx_bytes()));
+  g_freqcap_pooled_pairs_->Set(static_cast<double>(capper_.pooled_pairs()));
+}
+
+void RecommendationEngine::RestoreFrequencyCapHistory(
+    UserId user, AdId ad, std::vector<Timestamp> times) {
+  capper_.RestoreHistory(user, ad, std::move(times));
+  RefreshFreqCapGauges();
 }
 
 Status RecommendationEngine::RunAnalysis() {
@@ -327,6 +343,7 @@ std::vector<index::ScoredAd> RecommendationEngine::TopKAdsForTweet(
       out.push_back(sa);
     }
   }
+  if (cap_enabled) RefreshFreqCapGauges();
   ctr_topk_queries_->Inc();
   ctr_impressions_->Inc(out.size());
   return out;
@@ -363,6 +380,7 @@ bool RecommendationEngine::ChargeCachedTopK(const feed::Tweet& tweet,
     (void)store_.RecordImpression(ad);
     if (cap_enabled) capper_.Record(tweet.user, ad, tweet.time);
   }
+  if (cap_enabled) RefreshFreqCapGauges();
   ctr_topk_queries_->Inc();
   ctr_impressions_->Inc(ads.size());
   return true;

@@ -227,7 +227,10 @@ class RecommendationEngine {
   }
   const ads::AdStore& ad_store() const { return store_; }
   const ads::FrequencyCapper& frequency_capper() const { return capper_; }
-  ads::FrequencyCapper* mutable_frequency_capper() { return &capper_; }
+  /// FrequencyCapper::RestoreHistory, keeping the ads.freqcap_* gauges
+  /// current.
+  void RestoreFrequencyCapHistory(UserId user, AdId ad,
+                                  std::vector<Timestamp> times);
   const index::AdIndex& ad_index() const { return index_; }
   /// The compressed inventory index, or nullptr when the engine runs the
   /// uncompressed AdIndex (options.compressed_index == false).
@@ -253,6 +256,10 @@ class RecommendationEngine {
   /// Publishes the index.ads / index.postings_bytes gauges for whichever
   /// inventory index is active (called after every insert/remove).
   void RefreshIndexGauges();
+
+  /// Publishes the ads.freqcap_pairs / _bytes / _pooled_pairs ledger
+  /// gauges (called after every capper mutation).
+  void RefreshFreqCapGauges();
 
   /// The timer handle if stage timing is on, nullptr (no-op probe) if off.
   obs::Timer* StageTimer(obs::Timer* timer) const {
@@ -292,6 +299,9 @@ class RecommendationEngine {
   obs::Gauge* g_topic_triconcepts_;
   obs::Gauge* g_index_ads_;
   obs::Gauge* g_index_postings_bytes_;
+  obs::Gauge* g_freqcap_pairs_;
+  obs::Gauge* g_freqcap_bytes_;
+  obs::Gauge* g_freqcap_pooled_pairs_;
   // Scan work of the uncompressed AdIndex (nullptr when cindex_ serves;
   // it exports its own postings.* counters).
   obs::Counter* ctr_index_scanned_ = nullptr;

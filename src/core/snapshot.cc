@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <tuple>
 
@@ -163,7 +164,7 @@ Result<std::vector<SnapshotFile>> SerializeEngineSnapshot(
     };
     std::vector<CapRow> rows;
     engine.frequency_capper().ForEach(
-        [&](UserId user, AdId ad, const std::deque<Timestamp>& times) {
+        [&](UserId user, AdId ad, std::span<const Timestamp> times) {
           CapRow row{user.value, ad.value, {}};
           for (Timestamp t : times) {
             if (!row.times.empty()) row.times += ';';
@@ -429,8 +430,8 @@ Status LoadEngineSnapshot(const std::string& dir,
     engine->RestoreCurrentLocation(user, loc);
   }
   for (CapEntry& entry : cap_entries) {
-    engine->mutable_frequency_capper()->RestoreHistory(
-        entry.user, entry.ad, std::move(entry.times));
+    engine->RestoreFrequencyCapHistory(entry.user, entry.ad,
+                                       std::move(entry.times));
   }
   return Status::OK();
 }

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <charconv>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -295,6 +296,24 @@ std::string FormatReplCmd(uint64_t cursor) {
 std::string FormatReplCmd(size_t shard, uint64_t cursor) {
   return StringFormat("repl\t%zu\t%llu", shard,
                       static_cast<unsigned long long>(cursor));
+}
+
+void AppendScoreRow(std::string* out, std::string_view tag, uint32_t id,
+                    double score) {
+  // " <id> <score>\r\n": 1 + 10 + 1 + at most 24 (%.17g of a double,
+  // e.g. -2.2250738585072014e-308) + 2 bytes.
+  char buf[40];
+  char* const end = buf + sizeof(buf);
+  char* p = buf;
+  *p++ = ' ';
+  p = std::to_chars(p, end, id).ptr;
+  *p++ = ' ';
+  // Precision-17 general form is specified to match printf("%.17g").
+  p = std::to_chars(p, end, score, std::chars_format::general, 17).ptr;
+  *p++ = '\r';
+  *p++ = '\n';
+  out->append(tag);
+  out->append(buf, p);
 }
 
 }  // namespace adrec::serve

@@ -158,6 +158,14 @@ std::string FormatSnapshotCmd(std::string_view dir);
 std::string FormatReplCmd(uint64_t cursor);
 std::string FormatReplCmd(size_t shard, uint64_t cursor);
 
+/// Server-side reply row: appends `<tag> <id> <score>\r\n` (the `AD` rows
+/// of a topk reply, the `USER` rows of a match reply) with the score in
+/// exact round-trip form, byte-identical to printf's `%.17g`, so
+/// differential clients see bit-identical rankings. Writes straight into
+/// `out` with no temporary strings.
+void AppendScoreRow(std::string* out, std::string_view tag, uint32_t id,
+                    double score);
+
 }  // namespace adrec::serve
 
 #endif  // ADREC_SERVE_PROTOCOL_H_

@@ -46,16 +46,12 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-/// Exact score text on the wire: round-trips doubles so differential
-/// clients see bit-identical rankings.
-std::string ScoreText(double score) { return StringFormat("%.17g", score); }
-
 /// The `topk` reply — also the byte sequence the result cache memoises.
 std::string FormatTopKReply(const std::vector<index::ScoredAd>& ads) {
-  std::string out = StringFormat("ADS %zu", ads.size()) + std::string(kCrlf);
+  std::string out = StringFormat("ADS %zu", ads.size());
+  out += kCrlf;
   for (const index::ScoredAd& sa : ads) {
-    out += StringFormat("AD %u ", sa.ad.value) + ScoreText(sa.score);
-    out += kCrlf;
+    AppendScoreRow(&out, "AD", sa.ad.value, sa.score);
   }
   out += "END";
   out += kCrlf;
@@ -1004,11 +1000,11 @@ std::string Server::ExecuteMatch(const Request& req) {
     }
     return "SERVER_ERROR " + match.status().ToString() + std::string(kCrlf);
   }
-  std::string out = StringFormat("USERS %zu", match.value().users.size()) +
-                    std::string(kCrlf);
-  for (const core::MatchedUser& mu : match.value().users) {
-    out += StringFormat("USER %u ", mu.user.value) + ScoreText(mu.score);
-    out += kCrlf;
+  const std::vector<core::MatchedUser>& users = match.value().users;
+  std::string out = StringFormat("USERS %zu", users.size());
+  out += kCrlf;
+  for (const core::MatchedUser& mu : users) {
+    AppendScoreRow(&out, "USER", mu.user.value, mu.score);
   }
   out += "END";
   out += kCrlf;

@@ -1,5 +1,8 @@
 #include "core/engine.h"
 
+#include <set>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/sharded_engine.h"
@@ -193,6 +196,64 @@ TEST_F(EngineStatsTest, ShardedMergeEqualsSumOfShards) {
   EXPECT_EQ(snap.counters.at("engine.tweets"), merged.tweets);
   EXPECT_EQ(snap.timers.at("engine.topk_us").count(),
             merged.topk_us.count());
+}
+
+// The frequency-cap ledger gauges count the distinct (user, ad) pairs the
+// charged topks served and the ledger's bytes, per shard and summed.
+TEST_F(EngineStatsTest, FreqCapGaugesTrackChargedPairs) {
+  auto engine = BuildAndReplay();
+  ShardedEngine sharded(workload_.kb, workload_.slots, 3);
+  for (const feed::Ad& ad : workload_.ads) {
+    ASSERT_TRUE(sharded.InsertAd(ad).ok());
+  }
+  for (const feed::FeedEvent& e : workload_.MergedEvents()) {
+    sharded.OnEvent(e);
+  }
+  const obs::MetricsSnapshot before = engine->metrics().Snapshot();
+  EXPECT_EQ(before.gauges.at("ads.freqcap_pairs"), 0.0);
+  EXPECT_EQ(before.gauges.at("ads.freqcap_bytes"), 0.0);
+  EXPECT_EQ(before.gauges.at("ads.freqcap_pooled_pairs"), 0.0);
+
+  constexpr size_t kTopks = 60;
+  std::set<std::pair<uint32_t, uint32_t>> served;
+  std::set<std::pair<uint32_t, uint32_t>> served_sharded;
+  for (size_t i = 0; i < kTopks && i < workload_.tweets.size(); ++i) {
+    const feed::Tweet& t = workload_.tweets[i];
+    for (const index::ScoredAd& sa : engine->TopKAdsForTweet(t, 3)) {
+      served.emplace(t.user.value, sa.ad.value);
+    }
+    for (const index::ScoredAd& sa : sharded.TopKAdsForTweet(t, 3)) {
+      served_sharded.emplace(t.user.value, sa.ad.value);
+    }
+  }
+  ASSERT_FALSE(served.empty());
+
+  const ads::FrequencyCapper& capper = engine->frequency_capper();
+  const obs::MetricsSnapshot snap = engine->metrics().Snapshot();
+  EXPECT_EQ(capper.tracked_pairs(), served.size());
+  EXPECT_EQ(snap.gauges.at("ads.freqcap_pairs"),
+            static_cast<double>(served.size()));
+  EXPECT_EQ(snap.gauges.at("ads.freqcap_bytes"),
+            static_cast<double>(capper.approx_bytes()));
+  EXPECT_GT(capper.approx_bytes(), 0u);
+  EXPECT_EQ(snap.gauges.at("ads.freqcap_pooled_pairs"),
+            static_cast<double>(capper.pooled_pairs()));
+
+  // Sharded: every shard's ledger holds its own users' pairs; the merged
+  // snapshot sums them.
+  double shard_bytes = 0;
+  double shard_pooled = 0;
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    const ads::FrequencyCapper& shard_capper =
+        sharded.shard(s).frequency_capper();
+    shard_bytes += static_cast<double>(shard_capper.approx_bytes());
+    shard_pooled += static_cast<double>(shard_capper.pooled_pairs());
+  }
+  const obs::MetricsSnapshot merged = sharded.MergedMetrics();
+  EXPECT_EQ(merged.gauges.at("ads.freqcap_pairs"),
+            static_cast<double>(served_sharded.size()));
+  EXPECT_EQ(merged.gauges.at("ads.freqcap_bytes"), shard_bytes);
+  EXPECT_EQ(merged.gauges.at("ads.freqcap_pooled_pairs"), shard_pooled);
 }
 
 TEST_F(EngineStatsTest, AnalysisSubPhaseSpansAreRecorded) {

@@ -1,9 +1,9 @@
 #include "core/snapshot.h"
 
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,7 +110,7 @@ TEST_F(SnapshotTest, FrequencyCapHistoryRoundTrips) {
             original.frequency_capper().tracked_pairs());
   std::vector<std::pair<UserId, AdId>> pairs;
   original.frequency_capper().ForEach(
-      [&](UserId user, AdId ad, const std::deque<Timestamp>&) {
+      [&](UserId user, AdId ad, std::span<const Timestamp>) {
         pairs.emplace_back(user, ad);
       });
   const Timestamp probe = setup.workload.tweets.back().time;

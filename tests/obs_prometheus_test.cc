@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "annotate/knowledge_base.h"
 #include "common/string_util.h"
+#include "core/engine.h"
 #include "obs/metrics.h"
 #include "obs/stats_export.h"
 
@@ -323,6 +325,54 @@ TEST(PrometheusExportTest, CheckpointMetricFamiliesExposeAndRoundTrip) {
   EXPECT_EQ(parsed.value().gauges.at("checkpoint.delta_chain_len"), 3.0);
   ASSERT_EQ(parsed.value().timers.count("checkpoint.save_ms"), 1u);
   EXPECT_EQ(parsed.value().timers.at("checkpoint.save_ms").count, 1u);
+}
+
+// The engine's frequency-cap ledger gauges (ads.freqcap_pairs, _bytes
+// and _pooled_pairs):
+// registered by the engine itself, exposed verbatim as gauges, and raw
+// names survive the JSON round-trip.
+TEST(PrometheusExportTest, FreqCapLedgerFamiliesExposeAndRoundTrip) {
+  auto analyzer = std::make_shared<text::Analyzer>();
+  std::shared_ptr<annotate::KnowledgeBase> kb(
+      annotate::BuildDemoKnowledgeBase(analyzer.get()));
+  core::RecommendationEngine engine(kb,
+                                    timeline::TimeSlotScheme::PaperScheme());
+  feed::Ad ad;
+  ad.id = AdId(1);
+  ad.copy = "volleyball gear spike";
+  ASSERT_TRUE(engine.InsertAd(ad).ok());
+  for (uint32_t user = 1; user <= 3; ++user) {
+    ASSERT_EQ(engine.TopKAdsForTweet({UserId(user), 6 * kSecondsPerHour,
+                                      "volleyball"},
+                                     1)
+                  .size(),
+              1u);
+  }
+  const MetricsSnapshot snapshot = engine.metrics().Snapshot();
+  const double bytes = snapshot.gauges.at("ads.freqcap_bytes");
+  EXPECT_EQ(bytes,
+            static_cast<double>(engine.frequency_capper().approx_bytes()));
+
+  const std::string prom = ExportPrometheus(snapshot);
+  EXPECT_NE(prom.find("# TYPE adrec_ads_freqcap_pairs gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("adrec_ads_freqcap_pairs 3\n"), std::string::npos);
+  EXPECT_NE(prom.find("# TYPE adrec_ads_freqcap_bytes gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("adrec_ads_freqcap_bytes " +
+                      StringFormat("%.0f", bytes) + "\n"),
+            std::string::npos);
+  // Three users, one impression each: no pair is pooled.
+  EXPECT_NE(prom.find("# TYPE adrec_ads_freqcap_pooled_pairs gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("adrec_ads_freqcap_pooled_pairs 0\n"),
+            std::string::npos);
+  CheckParseable(prom);
+
+  auto parsed = ParseJson(ExportJson(BuildReport(snapshot)));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().gauges.at("ads.freqcap_pairs"), 3.0);
+  EXPECT_EQ(parsed.value().gauges.at("ads.freqcap_bytes"), bytes);
 }
 
 // The cache trace span names (cache.lookup, cache.fill, and the

@@ -1,6 +1,10 @@
 #include "serve/protocol.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
+
+#include "common/string_util.h"
 
 namespace adrec::serve {
 namespace {
@@ -143,6 +147,22 @@ TEST(ServeProtocolTest, TopKFormatterSanitizesText) {
   auto req = ParseRequest(cmd);
   ASSERT_TRUE(req.ok()) << req.status().ToString();
   EXPECT_EQ(req.value().tweet.text, "tabs here and newlines");
+}
+
+// Reply rows are written with std::to_chars; the wire contract is the
+// printf("%.17g") text the rows were always formatted with.
+TEST(ServeProtocolTest, ScoreRowMatchesPrintfRoundTripFormat) {
+  for (const double score :
+       {0.1, 1e-300, std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, 5.0, 0.50924992556240967, -0.0,
+        -1.7976931348623157e308, 123456789.125}) {
+    std::string row = "prefix";
+    AppendScoreRow(&row, "AD", 4294967295u, score);
+    EXPECT_EQ(row, StringFormat("prefixAD 4294967295 %.17g\r\n", score));
+    std::string user_row;
+    AppendScoreRow(&user_row, "USER", 0, score);
+    EXPECT_EQ(user_row, StringFormat("USER 0 %.17g\r\n", score));
+  }
 }
 
 }  // namespace
