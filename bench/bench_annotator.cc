@@ -7,8 +7,11 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "annotate/annotator.h"
+#include "common/hashing.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/table_writer.h"
@@ -32,6 +35,45 @@ void BM_AnnotateTweets(benchmark::State& state) {
 }
 
 BENCHMARK(BM_AnnotateTweets);
+
+/// Texts whose every word is unseen: eight tokens per text, each a unique
+/// base-26 stem plus a common English suffix (so the stemmer's suffix
+/// steps run). No token repeats, so each one misses the analyzer's memo
+/// and runs the full stopword/stem/intern pipeline.
+std::vector<std::string> NovelTexts(size_t count) {
+  static constexpr const char* kSuffixes[] = {"",   "s",     "ing", "ed",
+                                              "ly", "ation", "ness", "er"};
+  std::vector<std::string> texts;
+  uint64_t word = 0;
+  for (size_t t = 0; t < count; ++t) {
+    std::string text;
+    for (int w = 0; w < 8; ++w, ++word) {
+      if (w > 0) text += ' ';
+      uint64_t v = word;
+      for (int i = 0; i < 6; ++i, v /= 26) text += static_cast<char>('a' + v % 26);
+      text += kSuffixes[adrec::Mix64(word) % std::size(kSuffixes)];
+    }
+    texts.push_back(std::move(text));
+  }
+  return texts;
+}
+
+/// The memo's worst case: every token is new. A fixed iteration count
+/// bounds the vocabulary the run grows.
+void BM_AnnotateNovelWords(benchmark::State& state) {
+  constexpr size_t kTexts = 20000;
+  const std::vector<std::string> texts = NovelTexts(kTexts);
+  adrec::text::Analyzer analyzer;
+  auto kb = adrec::annotate::BuildDemoKnowledgeBase(&analyzer);
+  adrec::annotate::SpotlightAnnotator annotator(kb.get());
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(annotator.Annotate(texts[i++ % kTexts]));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+
+BENCHMARK(BM_AnnotateNovelWords)->Iterations(20000);
 
 /// Accuracy probe: sentences with ambiguous mentions whose correct sense
 /// is known from the surrounding words.

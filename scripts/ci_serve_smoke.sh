@@ -46,6 +46,13 @@ expect() {  # expect <want-substring> <verb> [args...]
 }
 
 expect "PONG" ping
+# The analyzer's token memo is exported once per daemon; the demo KB's
+# surface forms and context sentences fill it at start-up.
+FORMS="$("$CLIENT" 127.0.0.1 "$PORT" metrics | tr -d '\r' |
+  sed -n 's/^adrec_text_surface_forms \([0-9]*\)$/\1/p')" || true
+[ "${FORMS:-0}" -gt 0 ] ||
+  { echo "FAIL: adrec_text_surface_forms is '${FORMS}', wanted > 0"; exit 1; }
+echo "smoke: adrec_text_surface_forms = $FORMS after start-up -> ok"
 expect "OK" tweet 4 86400 "coffee and live music downtown"
 expect "OK" checkin 4 86500 7
 expect "OK" adput 1 100 50 1.5 "" "" "coffee and music deals"

@@ -1,7 +1,8 @@
 #include "annotate/annotator.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
+#include <utility>
 
 #include "common/logging.h"
 #include "text/tfidf.h"
@@ -22,44 +23,59 @@ std::vector<Annotation> SpotlightAnnotator::Annotate(
 std::vector<Annotation> SpotlightAnnotator::AnnotateTerms(
     const std::vector<text::TermId>& terms) const {
   // Document vector for context similarity (raw term frequencies are
-  // sufficient here; both sides are L2-normalised by Cosine()).
-  const text::SparseVector doc = text::TfIdfModel::TermFrequency(terms);
+  // sufficient here; both sides are L2-normalised by Cosine()). Built on
+  // the first candidate that has a context: most texts mention nothing.
+  std::optional<text::SparseVector> doc;
 
-  // Scores one candidate sense of a mention span; `discount` scales the
-  // final confidence (1.0 for exact matches, trigram similarity for
-  // fuzzy ones).
-  auto score_candidate = [&](TopicId cand, size_t begin, size_t len,
-                             double discount) {
+  // Confidence of one candidate sense; `discount` scales it (1.0 for
+  // exact matches, trigram similarity for fuzzy ones).
+  auto score_of = [&](TopicId cand, double discount) {
     const Entity& e = kb_->entity(cand);
     // Context cosine; entities without context fall back to prior only.
-    double ctx = e.context.empty() ? 0.0 : e.context.Cosine(doc);
-    if (ctx < 0.0) ctx = 0.0;
+    double ctx = 0.0;
+    if (!e.context.empty()) {
+      if (!doc) doc = text::TfIdfModel::TermFrequency(terms);
+      ctx = e.context.Cosine(*doc);
+      if (ctx < 0.0) ctx = 0.0;
+    }
     const double w = e.context.empty() ? 0.0 : options_.context_weight;
     const double score = ((1.0 - w) * e.prior + w * ctx) * discount;
-    Annotation a;
-    a.topic = cand;
-    a.uri = e.uri;
-    a.score = std::min(1.0, std::max(0.0, score));
-    a.token_begin = begin;
-    a.token_length = len;
-    return a;
+    return std::min(1.0, std::max(0.0, score));
   };
 
-  std::vector<Annotation> spans;
-  // Emits the best (or all) senses from scored candidate annotations.
-  auto emit = [&](std::vector<Annotation> candidates) {
-    if (candidates.empty()) return;
-    if (options_.best_sense_only) {
-      const Annotation* best = &candidates[0];
-      for (const Annotation& a : candidates) {
-        if (a.score > best->score) best = &a;
-      }
-      if (best->score >= options_.min_score) spans.push_back(*best);
-    } else {
-      for (Annotation& a : candidates) {
-        if (a.score >= options_.min_score) spans.push_back(std::move(a));
+  // Aggregate per entity as spans are emitted: the first mention's span,
+  // the max score across mentions.
+  std::vector<Annotation> out;
+  auto keep = [&](TopicId topic, double score, size_t begin, size_t len) {
+    if (score < options_.min_score) return;
+    for (Annotation& a : out) {
+      if (a.topic == topic) {
+        a.score = std::max(a.score, score);
+        return;
       }
     }
+    out.push_back(Annotation{topic, kb_->entity(topic).uri, score, begin, len});
+  };
+
+  // Candidate senses of the current mention span, with the discount of
+  // each (reused across spans).
+  std::vector<std::pair<TopicId, double>> senses;
+  // Scores the span's senses and keeps the best (first of equals) or all.
+  auto emit = [&](size_t begin, size_t len) {
+    bool have_best = false;
+    TopicId best_topic;
+    double best_score = 0.0;
+    for (const auto& [topic, discount] : senses) {
+      const double score = score_of(topic, discount);
+      if (!options_.best_sense_only) {
+        keep(topic, score, begin, len);
+      } else if (!have_best || score > best_score) {
+        have_best = true;
+        best_topic = topic;
+        best_score = score;
+      }
+    }
+    if (have_best) keep(best_topic, best_score, begin, len);
   };
 
   size_t i = 0;
@@ -79,40 +95,28 @@ std::vector<Annotation> SpotlightAnnotator::AnnotateTerms(
     if (best_node == KnowledgeBase::kNoNode) {
       // Typo fallback: fuzzy single-token match.
       if (options_.fuzzy_min_similarity > 0.0) {
-        const auto term = kb_->analyzer()->vocabulary().TryTermOf(terms[i]);
+        const auto term = kb_->analyzer()->TryTermOf(terms[i]);
         if (term.ok()) {
-          std::vector<Annotation> fuzzy;
+          senses.clear();
           for (const KnowledgeBase::FuzzyMatch& m : kb_->FuzzyCandidates(
                    term.value(), options_.fuzzy_min_similarity)) {
-            fuzzy.push_back(score_candidate(m.topic, i, 1, m.similarity));
+            senses.emplace_back(m.topic, m.similarity);
           }
-          emit(std::move(fuzzy));
+          emit(i, 1);
         }
       }
       ++i;
       continue;
     }
     // Disambiguate the candidates of the matched span.
-    std::vector<Annotation> scored;
+    senses.clear();
     for (TopicId cand : kb_->CandidatesAt(best_node)) {
-      scored.push_back(score_candidate(cand, i, best_len, 1.0));
+      senses.emplace_back(cand, 1.0);
     }
-    emit(std::move(scored));
+    emit(i, best_len);
     i += best_len;
   }
 
-  // Aggregate per entity: max score across mentions.
-  std::unordered_map<uint32_t, size_t> first_index;
-  std::vector<Annotation> out;
-  for (Annotation& a : spans) {
-    auto it = first_index.find(a.topic.value);
-    if (it == first_index.end()) {
-      first_index.emplace(a.topic.value, out.size());
-      out.push_back(std::move(a));
-    } else if (a.score > out[it->second].score) {
-      out[it->second].score = a.score;
-    }
-  }
   // Deterministic order: by topic id.
   std::sort(out.begin(), out.end(), [](const Annotation& a, const Annotation& b) {
     return a.topic.value < b.topic.value;

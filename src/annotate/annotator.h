@@ -59,8 +59,8 @@ class SpotlightAnnotator {
   explicit SpotlightAnnotator(const KnowledgeBase* kb,
                               AnnotatorOptions options = {});
 
-  /// Annotates free text. Mutates the analyzer's vocabulary (interns new
-  /// document terms), which is the intended single-writer streaming usage.
+  /// Annotates free text. Interns new document terms in the analyzer's
+  /// vocabulary; safe to call from several threads (the analyzer locks).
   std::vector<Annotation> Annotate(std::string_view text) const;
 
   /// Annotates a pre-analyzed term sequence.

@@ -75,7 +75,7 @@ Status KnowledgeBase::AddSurfaceForm(TopicId topic, std::string_view phrase) {
   entities_[topic.value].surface_phrases.emplace_back(phrase);
   // Single-token surface stems join the fuzzy index.
   if (terms.size() == 1) {
-    const std::string stem = analyzer_->vocabulary().TermOf(terms[0]);
+    const std::string stem = analyzer_->TryTermOf(terms[0]).value();
     std::vector<TopicId>& fuzzy_cands = single_token_[stem];
     if (std::find(fuzzy_cands.begin(), fuzzy_cands.end(), topic) ==
         fuzzy_cands.end()) {

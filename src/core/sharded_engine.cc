@@ -12,7 +12,8 @@ namespace adrec::core {
 
 ShardedEngine::ShardedEngine(std::shared_ptr<annotate::KnowledgeBase> kb,
                              timeline::TimeSlotScheme slots,
-                             size_t num_shards, EngineOptions options) {
+                             size_t num_shards, EngineOptions options)
+    : kb_(kb) {
   ADREC_CHECK(num_shards > 0);
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -218,6 +219,14 @@ obs::MetricsSnapshot ShardedEngine::MergedMetrics() const {
   for (const auto& shard : shards_) {
     merged.MergeFrom(shard->metrics().Snapshot());
   }
+  // The shards share one analyzer: its counters are exported once here,
+  // not summed per shard.
+  const text::AnalyzerStats text = kb_->analyzer()->Stats();
+  merged.gauges["text.vocabulary_terms"] =
+      static_cast<double>(text.vocabulary_terms);
+  merged.gauges["text.surface_forms"] = static_cast<double>(text.surface_forms);
+  merged.counters["text.surface_misses"] = text.surface_misses;
+  merged.counters["text.tokens"] = text.tokens;
   return merged;
 }
 

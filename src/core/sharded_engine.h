@@ -106,13 +106,15 @@ class ShardedEngine {
   EngineStats Stats() const;
 
   /// Aggregate metric registry snapshot across shards (same merge rules),
-  /// for the generic obs exporters.
+  /// for the generic obs exporters, plus the shared analyzer's `text.*`
+  /// counters once.
   obs::MetricsSnapshot MergedMetrics() const;
 
   /// The shard owning a user.
   size_t ShardOf(UserId user) const;
 
  private:
+  std::shared_ptr<annotate::KnowledgeBase> kb_;
   std::vector<std::unique_ptr<RecommendationEngine>> shards_;
 };
 

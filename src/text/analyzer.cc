@@ -1,5 +1,7 @@
 #include "text/analyzer.h"
 
+#include <mutex>
+
 namespace adrec::text {
 
 Analyzer::Analyzer(AnalyzerOptions options)
@@ -8,38 +10,140 @@ Analyzer::Analyzer(AnalyzerOptions options)
       stopwords_(options.remove_stopwords ? StopwordSet::English()
                                           : StopwordSet()) {}
 
-std::vector<std::string> Analyzer::AnalyzeToStrings(
-    std::string_view input) const {
-  std::vector<std::string> out;
-  for (const Token& tok : tokenizer_.Tokenize(input)) {
-    if (options_.remove_stopwords && stopwords_.Contains(tok.text)) continue;
-    std::string term = tok.text;
-    // Strip possessive suffixes before stemming ("nation's" -> "nation").
-    if (term.size() > 2 && term.ends_with("'s")) {
-      term.resize(term.size() - 2);
-    } else if (term.size() > 1 && term.back() == '\'') {
-      term.pop_back();
-    }
-    out.push_back(options_.stem ? PorterStem(term) : term);
+const TermId* Analyzer::Memoised(std::string_view token) const {
+  return memo_.Find(token);
+}
+
+bool Analyzer::Normalize(std::string_view token, std::string* term) const {
+  if (options_.remove_stopwords && stopwords_.Contains(token)) return false;
+  // Strip possessive suffixes before stemming ("nation's" -> "nation").
+  if (token.size() > 2 && token.ends_with("'s")) {
+    token.remove_suffix(2);
+  } else if (token.size() > 1 && token.back() == '\'') {
+    token.remove_suffix(1);
   }
-  return out;
+  if (options_.stem) {
+    *term = PorterStem(token);
+  } else {
+    term->assign(token);
+  }
+  return true;
+}
+
+TermId Analyzer::InternMiss(std::string_view token) {
+  misses_.fetch_add(1, std::memory_order_relaxed);
+  std::string term;
+  const TermId id = Normalize(token, &term) ? vocab_.Intern(term) : kDropped;
+  memo_.Insert(token, id);
+  return id;
 }
 
 std::vector<TermId> Analyzer::Analyze(std::string_view input) {
   std::vector<TermId> out;
-  for (const std::string& term : AnalyzeToStrings(input)) {
-    out.push_back(vocab_.Intern(term));
+  std::string scratch;
+  uint64_t tokens = 0;
+  bool missed = false;
+  {
+    std::shared_lock lock(mu_);
+    tokenizer_.Scan(input, scratch,
+                    [&](std::string_view token, size_t, TokenKind) {
+                      if (missed) return;
+                      const TermId* id = Memoised(token);
+                      if (id == nullptr) {
+                        missed = true;
+                        return;
+                      }
+                      ++tokens;
+                      if (*id != kDropped) out.push_back(*id);
+                    });
   }
+  if (missed) {
+    // Redo the whole text under the exclusive lock, so its misses intern
+    // in token order (and a word another thread added meanwhile is a hit).
+    out.clear();
+    tokens = 0;
+    std::unique_lock lock(mu_);
+    tokenizer_.Scan(input, scratch,
+                    [&](std::string_view token, size_t, TokenKind) {
+                      ++tokens;
+                      const TermId* hit = Memoised(token);
+                      const TermId id =
+                          hit != nullptr ? *hit : InternMiss(token);
+                      if (id != kDropped) out.push_back(id);
+                    });
+  }
+  tokens_.fetch_add(tokens, std::memory_order_relaxed);
   return out;
 }
 
 std::vector<TermId> Analyzer::AnalyzeReadOnly(std::string_view input) const {
   std::vector<TermId> out;
-  for (const std::string& term : AnalyzeToStrings(input)) {
-    const TermId id = vocab_.Lookup(term);
-    if (id != kInvalidTerm) out.push_back(id);
+  std::string scratch;
+  std::string term;
+  uint64_t tokens = 0;
+  uint64_t misses = 0;
+  {
+    std::shared_lock lock(mu_);
+    tokenizer_.Scan(input, scratch,
+                    [&](std::string_view token, size_t, TokenKind) {
+                      ++tokens;
+                      TermId id = kDropped;
+                      if (const TermId* hit = Memoised(token)) {
+                        id = *hit;
+                      } else {
+                        ++misses;
+                        if (Normalize(token, &term)) id = vocab_.Lookup(term);
+                      }
+                      if (id != kDropped && id != kInvalidTerm) {
+                        out.push_back(id);
+                      }
+                    });
   }
+  tokens_.fetch_add(tokens, std::memory_order_relaxed);
+  misses_.fetch_add(misses, std::memory_order_relaxed);
   return out;
+}
+
+std::vector<std::string> Analyzer::AnalyzeToStrings(
+    std::string_view input) const {
+  std::vector<std::string> out;
+  std::string scratch;
+  std::string term;
+  uint64_t tokens = 0;
+  uint64_t misses = 0;
+  {
+    std::shared_lock lock(mu_);
+    tokenizer_.Scan(input, scratch,
+                    [&](std::string_view token, size_t, TokenKind) {
+                      ++tokens;
+                      if (const TermId* hit = Memoised(token)) {
+                        if (*hit != kDropped) {
+                          out.push_back(vocab_.TermOf(*hit));
+                        }
+                      } else {
+                        ++misses;
+                        if (Normalize(token, &term)) out.push_back(term);
+                      }
+                    });
+  }
+  tokens_.fetch_add(tokens, std::memory_order_relaxed);
+  misses_.fetch_add(misses, std::memory_order_relaxed);
+  return out;
+}
+
+Result<std::string> Analyzer::TryTermOf(TermId id) const {
+  std::shared_lock lock(mu_);
+  return vocab_.TryTermOf(id);
+}
+
+AnalyzerStats Analyzer::Stats() const {
+  std::shared_lock lock(mu_);
+  AnalyzerStats stats;
+  stats.vocabulary_terms = vocab_.size();
+  stats.surface_forms = memo_.size();
+  stats.surface_misses = misses_.load(std::memory_order_relaxed);
+  stats.tokens = tokens_.load(std::memory_order_relaxed);
+  return stats;
 }
 
 }  // namespace adrec::text

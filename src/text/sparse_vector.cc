@@ -10,14 +10,18 @@ SparseVector SparseVector::FromUnsorted(std::vector<SparseEntry> entries) {
             [](const SparseEntry& a, const SparseEntry& b) {
               return a.id < b.id;
             });
-  SparseVector v;
+  // Merge duplicate ids in place: the input buffer becomes the vector.
+  size_t kept = 0;
   for (const SparseEntry& e : entries) {
-    if (!v.entries_.empty() && v.entries_.back().id == e.id) {
-      v.entries_.back().weight += e.weight;
+    if (kept > 0 && entries[kept - 1].id == e.id) {
+      entries[kept - 1].weight += e.weight;
     } else {
-      v.entries_.push_back(e);
+      entries[kept++] = e;
     }
   }
+  entries.resize(kept);
+  SparseVector v;
+  v.entries_ = std::move(entries);
   return v;
 }
 

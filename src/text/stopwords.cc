@@ -48,10 +48,12 @@ StopwordSet StopwordSet::English() {
   return set;
 }
 
-void StopwordSet::Add(std::string_view word) { words_.emplace(word); }
+void StopwordSet::Add(std::string_view word) {
+  if (!Contains(word)) words_.Insert(word, 0);
+}
 
 bool StopwordSet::Contains(std::string_view word) const {
-  return words_.find(std::string(word)) != words_.end();
+  return words_.Find(word) != nullptr;
 }
 
 }  // namespace adrec::text

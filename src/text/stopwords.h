@@ -3,7 +3,8 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_set>
+
+#include "text/string_id_map.h"
 
 namespace adrec::text {
 
@@ -27,7 +28,7 @@ class StopwordSet {
   size_t size() const { return words_.size(); }
 
  private:
-  std::unordered_set<std::string> words_;
+  StringIdMap words_;  // word -> 0: a set
 };
 
 }  // namespace adrec::text

@@ -28,9 +28,10 @@ double TfIdfModel::Idf(TermId term) const {
 }
 
 SparseVector TfIdfModel::TermFrequency(const std::vector<TermId>& terms) {
-  SparseVector v;
-  for (TermId t : terms) v.Add(t, 1.0);
-  return v;
+  std::vector<SparseEntry> entries;
+  entries.reserve(terms.size());
+  for (TermId t : terms) entries.push_back(SparseEntry{t, 1.0});
+  return SparseVector::FromUnsorted(std::move(entries));
 }
 
 SparseVector TfIdfModel::Vectorize(const std::vector<TermId>& terms) const {

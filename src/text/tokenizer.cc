@@ -6,14 +6,22 @@
 
 namespace adrec::text {
 
-namespace {
+Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
-bool IsWordChar(unsigned char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c >= 0x80;  // pass UTF-8 bytes through
+bool Tokenizer::IsUrlAt(std::string_view rest) {
+  return StartsWith(rest, "http://") || StartsWith(rest, "https://") ||
+         StartsWith(rest, "HTTP://") || StartsWith(rest, "HTTPS://");
 }
 
-bool IsDigitsOnly(std::string_view s) {
+size_t Tokenizer::UrlEnd(std::string_view input, size_t i) {
+  while (i < input.size() &&
+         !std::isspace(static_cast<unsigned char>(input[i]))) {
+    ++i;
+  }
+  return i;
+}
+
+bool Tokenizer::IsDigitsOnly(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
@@ -21,75 +29,26 @@ bool IsDigitsOnly(std::string_view s) {
   return true;
 }
 
-}  // namespace
-
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
+std::string_view Tokenizer::Lowered(std::string_view raw,
+                                    std::string& scratch) {
+  size_t i = 0;
+  while (i < raw.size() && !(raw[i] >= 'A' && raw[i] <= 'Z')) ++i;
+  if (i == raw.size()) return raw;
+  scratch.assign(raw);
+  for (; i < scratch.size(); ++i) {
+    char& c = scratch[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  return scratch;
+}
 
 std::vector<Token> Tokenizer::Tokenize(std::string_view input) const {
   std::vector<Token> out;
-  size_t i = 0;
-  const size_t n = input.size();
-  while (i < n) {
-    const char c = input[i];
-    // URLs: consume to the next whitespace.
-    if ((c == 'h' || c == 'H') &&
-        (StartsWith(input.substr(i), "http://") ||
-         StartsWith(input.substr(i), "https://") ||
-         StartsWith(input.substr(i), "HTTP://") ||
-         StartsWith(input.substr(i), "HTTPS://"))) {
-      size_t end = i;
-      while (end < n && !std::isspace(static_cast<unsigned char>(input[end]))) {
-        ++end;
-      }
-      if (options_.keep_urls) {
-        out.push_back({std::string(input.substr(i, end - i)), i,
-                       TokenKind::kUrl});
-      }
-      i = end;
-      continue;
-    }
-    TokenKind kind = TokenKind::kWord;
-    size_t start = i;
-    if (c == '#' || c == '@') {
-      kind = (c == '#') ? TokenKind::kHashtag : TokenKind::kMention;
-      ++i;
-      start = i;
-    }
-    if (i < n && IsWordChar(static_cast<unsigned char>(input[i]))) {
-      size_t end = i;
-      while (end < n) {
-        const unsigned char wc = static_cast<unsigned char>(input[end]);
-        if (IsWordChar(wc)) {
-          ++end;
-        } else if (wc == '\'' && end + 1 < n &&
-                   IsWordChar(static_cast<unsigned char>(input[end + 1])) &&
-                   kind == TokenKind::kWord) {
-          ++end;  // keep internal apostrophe: "nation's"
-        } else {
-          break;
-        }
-      }
-      std::string_view raw = input.substr(i, end - i);
-      if (kind == TokenKind::kWord && IsDigitsOnly(raw)) {
-        kind = TokenKind::kNumber;
-      }
-      const bool keep =
-          (kind == TokenKind::kWord) ||
-          (kind == TokenKind::kHashtag && options_.keep_hashtags) ||
-          (kind == TokenKind::kMention && options_.keep_mentions) ||
-          (kind == TokenKind::kNumber && options_.keep_numbers);
-      if (keep && raw.size() >= options_.min_token_length) {
-        Token tok;
-        tok.text = options_.lowercase ? ToLowerAscii(raw) : std::string(raw);
-        tok.offset = start;
-        tok.kind = kind;
-        out.push_back(std::move(tok));
-      }
-      i = end;
-    } else {
-      ++i;
-    }
-  }
+  std::string scratch;
+  Scan(input, scratch, [&](std::string_view text, size_t offset,
+                           TokenKind kind) {
+    out.push_back(Token{std::string(text), offset, kind});
+  });
   return out;
 }
 

@@ -6,17 +6,16 @@
 namespace adrec::text {
 
 TermId Vocabulary::Intern(std::string_view term) {
-  auto it = index_.find(std::string(term));
-  if (it != index_.end()) return it->second;
+  if (const TermId* id = index_.Find(term)) return *id;
   const TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
-  index_.emplace(terms_.back(), id);
+  index_.Insert(term, id);
   return id;
 }
 
 TermId Vocabulary::Lookup(std::string_view term) const {
-  auto it = index_.find(std::string(term));
-  return it == index_.end() ? kInvalidTerm : it->second;
+  const TermId* id = index_.Find(term);
+  return id == nullptr ? kInvalidTerm : *id;
 }
 
 const std::string& Vocabulary::TermOf(TermId id) const {

@@ -4,10 +4,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "text/string_id_map.h"
 
 namespace adrec::text {
 
@@ -17,7 +17,8 @@ constexpr TermId kInvalidTerm = UINT32_MAX;
 
 /// Bidirectional string <-> dense-id interning table. Used for word terms
 /// and, via a separate instance, for knowledge-base URIs, so the rest of
-/// the system works with dense integers.
+/// the system works with dense integers. Not synchronised: text::Analyzer
+/// guards the vocabulary it owns with its own lock.
 class Vocabulary {
  public:
   Vocabulary() = default;
@@ -38,7 +39,7 @@ class Vocabulary {
   size_t size() const { return terms_.size(); }
 
  private:
-  std::unordered_map<std::string, TermId> index_;
+  StringIdMap index_;
   std::vector<std::string> terms_;
 };
 

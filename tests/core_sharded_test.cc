@@ -1,9 +1,11 @@
 #include "core/sharded_engine.h"
 
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "feed/workload.h"
 
 namespace adrec::core {
@@ -138,6 +140,57 @@ TEST_F(ShardedTest, RemoveAdBroadcasts) {
   }
   EXPECT_EQ(engine->RemoveAd(workload_.ads[0].id).code(),
             StatusCode::kNotFound);
+}
+
+// Shards share one analyzer. Sharded WAL recovery and `--workers=N`
+// pool workers drive different shards from different threads, so two
+// threads analysing never-seen words — ingest and topk text alike — must
+// not race (ThreadSanitizer runs this suite), and every new word must be
+// interned exactly once.
+TEST_F(ShardedTest, ShardsAnalyseNewWordsConcurrently) {
+  auto engine = Build(2);
+  const text::Analyzer& analyzer = *workload_.analyzer;
+  const size_t vocab_before = analyzer.vocabulary().size();
+  UserId owners[2];
+  for (uint32_t u = 0, found = 0; found != 3; ++u) {
+    const size_t s = engine->ShardOf(UserId(u));
+    if ((found & (1u << s)) == 0) owners[s] = UserId(u);
+    found |= 1u << s;
+  }
+  constexpr int kTweets = 150;
+  const Timestamp start = 6 * kSecondsPerDay;
+  auto drive = [&](size_t shard) {
+    RecommendationEngine* e = engine->mutable_shard(shard);
+    for (int i = 0; i < kTweets; ++i) {
+      const std::string words = StringFormat("zq%zux%d volleyball", shard, i);
+      e->OnTweet({owners[shard], start + i, words});
+      e->TopKAdsForTweet(
+          {owners[shard], start + i,
+           StringFormat("coffee qz%zuy%d pitch", shard, i)},
+          2);
+    }
+  };
+  std::thread first(drive, 0);
+  std::thread second(drive, 1);
+  first.join();
+  second.join();
+
+  EXPECT_EQ(engine->shard(0).tweets_ingested() +
+                engine->shard(1).tweets_ingested(),
+            workload_.tweets.size() + 2 * kTweets);
+  std::set<text::TermId> ids;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    for (int i = 0; i < kTweets; ++i) {
+      for (const std::string& word : {StringFormat("zq%zux%d", shard, i),
+                                      StringFormat("qz%zuy%d", shard, i)}) {
+        const text::TermId id = analyzer.vocabulary().Lookup(word);
+        ASSERT_NE(id, text::kInvalidTerm) << word;
+        ids.insert(id);
+      }
+    }
+  }
+  EXPECT_EQ(ids.size(), 4u * kTweets);
+  EXPECT_EQ(analyzer.vocabulary().size(), vocab_before + 4 * kTweets);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "annotate/knowledge_base.h"
 #include "common/string_util.h"
 #include "core/engine.h"
+#include "core/sharded_engine.h"
 #include "obs/metrics.h"
 #include "obs/stats_export.h"
 
@@ -373,6 +374,60 @@ TEST(PrometheusExportTest, FreqCapLedgerFamiliesExposeAndRoundTrip) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().gauges.at("ads.freqcap_pairs"), 3.0);
   EXPECT_EQ(parsed.value().gauges.at("ads.freqcap_bytes"), bytes);
+}
+
+// The analyzer's memo counters (text.vocabulary_terms,
+// text.surface_forms, text.surface_misses, text.tokens): the shards share
+// one analyzer, so the merged snapshot carries them once — not summed per
+// shard — and they expose as gauges/counters that survive the JSON
+// round-trip.
+TEST(PrometheusExportTest, TextMemoFamiliesExportOncePerEngine) {
+  auto analyzer = std::make_shared<text::Analyzer>();
+  std::shared_ptr<annotate::KnowledgeBase> kb(
+      annotate::BuildDemoKnowledgeBase(analyzer.get()));
+  core::ShardedEngine engine(kb, timeline::TimeSlotScheme::PaperScheme(), 3);
+  for (uint32_t user = 1; user <= 6; ++user) {
+    engine.OnTweet({UserId(user), 6 * kSecondsPerHour,
+                    "volleyball volleyball at the beach zzyzx"});
+  }
+  const text::AnalyzerStats stats = analyzer->Stats();
+  ASSERT_GT(stats.surface_forms, 0u);
+  ASSERT_GT(stats.surface_misses, 0u);
+  const MetricsSnapshot snapshot = engine.MergedMetrics();
+  EXPECT_EQ(snapshot.gauges.at("text.vocabulary_terms"),
+            static_cast<double>(stats.vocabulary_terms));
+  EXPECT_EQ(snapshot.gauges.at("text.surface_forms"),
+            static_cast<double>(stats.surface_forms));
+  EXPECT_EQ(snapshot.counters.at("text.surface_misses"), stats.surface_misses);
+  EXPECT_EQ(snapshot.counters.at("text.tokens"), stats.tokens);
+
+  const std::string prom = ExportPrometheus(snapshot);
+  EXPECT_NE(prom.find("# TYPE adrec_text_vocabulary_terms gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find(StringFormat("adrec_text_vocabulary_terms %zu\n",
+                                   stats.vocabulary_terms)),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE adrec_text_surface_forms gauge\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find(StringFormat("adrec_text_surface_forms %zu\n",
+                                   stats.surface_forms)),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE adrec_text_surface_misses_total counter\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find(StringFormat(
+                "adrec_text_surface_misses_total %llu\n",
+                static_cast<unsigned long long>(stats.surface_misses))),
+            std::string::npos);
+  EXPECT_NE(prom.find("# TYPE adrec_text_tokens_total counter\n"),
+            std::string::npos);
+  CheckParseable(prom);
+
+  auto parsed = ParseJson(ExportJson(BuildReport(snapshot)));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().gauges.at("text.surface_forms"),
+            static_cast<double>(stats.surface_forms));
+  EXPECT_EQ(parsed.value().counters.at("text.surface_misses"),
+            stats.surface_misses);
 }
 
 // The cache trace span names (cache.lookup, cache.fill, and the

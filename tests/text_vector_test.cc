@@ -1,10 +1,12 @@
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "text/analyzer.h"
 #include "text/sparse_vector.h"
 #include "text/stopwords.h"
+#include "text/string_id_map.h"
 #include "text/tfidf.h"
 #include "text/vocabulary.h"
 
@@ -30,6 +32,25 @@ TEST(VocabularyTest, TryTermOfOutOfRange) {
   auto r = v.TryTermOf(5);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(StringIdMapTest, FindsEveryKeyAcrossGrowth) {
+  StringIdMap map;
+  EXPECT_EQ(map.Find("absent"), nullptr);
+  map.Insert("", 7);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    map.Insert("k" + std::to_string(i), i);
+  }
+  EXPECT_EQ(map.size(), 5001u);
+  ASSERT_NE(map.Find(""), nullptr);
+  EXPECT_EQ(*map.Find(""), 7u);
+  for (uint32_t i = 0; i < 5000; ++i) {
+    const uint32_t* value = map.Find("k" + std::to_string(i));
+    ASSERT_NE(value, nullptr) << i;
+    EXPECT_EQ(*value, i);
+  }
+  EXPECT_EQ(map.Find("k5000"), nullptr);
+  EXPECT_EQ(map.Find("k"), nullptr);  // a prefix of stored keys
 }
 
 TEST(StopwordSetTest, EnglishContainsCoreWords) {
