@@ -42,27 +42,8 @@ std::vector<TermId> Analyzer::Analyze(std::string_view input) {
   std::vector<TermId> out;
   std::string scratch;
   uint64_t tokens = 0;
-  bool missed = false;
   {
-    std::shared_lock lock(mu_);
-    tokenizer_.Scan(input, scratch,
-                    [&](std::string_view token, size_t, TokenKind) {
-                      if (missed) return;
-                      const TermId* id = Memoised(token);
-                      if (id == nullptr) {
-                        missed = true;
-                        return;
-                      }
-                      ++tokens;
-                      if (*id != kDropped) out.push_back(*id);
-                    });
-  }
-  if (missed) {
-    // Redo the whole text under the exclusive lock, so its misses intern
-    // in token order (and a word another thread added meanwhile is a hit).
-    out.clear();
-    tokens = 0;
-    std::unique_lock lock(mu_);
+    std::lock_guard lock(mu_);
     tokenizer_.Scan(input, scratch,
                     [&](std::string_view token, size_t, TokenKind) {
                       ++tokens;
@@ -76,68 +57,58 @@ std::vector<TermId> Analyzer::Analyze(std::string_view input) {
   return out;
 }
 
-std::vector<TermId> Analyzer::AnalyzeReadOnly(std::string_view input) const {
-  std::vector<TermId> out;
+template <typename Emit>
+void Analyzer::ScanReadOnly(std::string_view input, Emit&& emit) const {
   std::string scratch;
   std::string term;
   uint64_t tokens = 0;
   uint64_t misses = 0;
   {
-    std::shared_lock lock(mu_);
+    std::lock_guard lock(mu_);
     tokenizer_.Scan(input, scratch,
                     [&](std::string_view token, size_t, TokenKind) {
                       ++tokens;
-                      TermId id = kDropped;
                       if (const TermId* hit = Memoised(token)) {
-                        id = *hit;
+                        if (*hit != kDropped) emit(*hit, std::string_view());
                       } else {
                         ++misses;
-                        if (Normalize(token, &term)) id = vocab_.Lookup(term);
-                      }
-                      if (id != kDropped && id != kInvalidTerm) {
-                        out.push_back(id);
+                        if (Normalize(token, &term)) emit(kInvalidTerm, term);
                       }
                     });
   }
   tokens_.fetch_add(tokens, std::memory_order_relaxed);
   misses_.fetch_add(misses, std::memory_order_relaxed);
+}
+
+std::vector<TermId> Analyzer::AnalyzeReadOnly(std::string_view input) const {
+  std::vector<TermId> out;
+  ScanReadOnly(input, [&](TermId id, std::string_view term) {
+    if (id == kInvalidTerm) id = vocab_.Lookup(term);
+    if (id != kInvalidTerm) out.push_back(id);
+  });
   return out;
 }
 
 std::vector<std::string> Analyzer::AnalyzeToStrings(
     std::string_view input) const {
   std::vector<std::string> out;
-  std::string scratch;
-  std::string term;
-  uint64_t tokens = 0;
-  uint64_t misses = 0;
-  {
-    std::shared_lock lock(mu_);
-    tokenizer_.Scan(input, scratch,
-                    [&](std::string_view token, size_t, TokenKind) {
-                      ++tokens;
-                      if (const TermId* hit = Memoised(token)) {
-                        if (*hit != kDropped) {
-                          out.push_back(vocab_.TermOf(*hit));
-                        }
-                      } else {
-                        ++misses;
-                        if (Normalize(token, &term)) out.push_back(term);
-                      }
-                    });
-  }
-  tokens_.fetch_add(tokens, std::memory_order_relaxed);
-  misses_.fetch_add(misses, std::memory_order_relaxed);
+  ScanReadOnly(input, [&](TermId id, std::string_view term) {
+    if (id == kInvalidTerm) {
+      out.emplace_back(term);
+    } else {
+      out.push_back(vocab_.TermOf(id));
+    }
+  });
   return out;
 }
 
 Result<std::string> Analyzer::TryTermOf(TermId id) const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return vocab_.TryTermOf(id);
 }
 
 AnalyzerStats Analyzer::Stats() const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   AnalyzerStats stats;
   stats.vocabulary_terms = vocab_.size();
   stats.surface_forms = memo_.size();

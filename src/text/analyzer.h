@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,9 +40,8 @@ struct AnalyzerStats {
 /// and later occurrences are one hash probe. Term ids are assigned in
 /// first-seen order, exactly as without the memo.
 ///
-/// Thread-safe: one shared mutex guards the vocabulary and the memo.
-/// Concurrent analyses of already-seen words share the lock; a text with
-/// an unseen word re-runs under the exclusive lock.
+/// Thread-safe: one mutex guards the vocabulary and the memo, held for
+/// the whole of each text so a text's new words intern in token order.
 class Analyzer {
  public:
   explicit Analyzer(AnalyzerOptions options = {});
@@ -83,15 +82,22 @@ class Analyzer {
   /// The uncached pipeline for one token: false for a stopword, else
   /// true with the possessive-stripped, stemmed term in `*term`.
   bool Normalize(std::string_view token, std::string* term) const;
-  /// Memo miss under the exclusive lock: runs the pipeline, interns and
+  /// Memo miss, caller holds mu_: runs the pipeline, interns and
   /// memoises. Returns the new memo value.
   TermId InternMiss(std::string_view token);
+  /// The read-only per-token path of AnalyzeReadOnly and
+  /// AnalyzeToStrings: under mu_, calls `emit(id, term)` for each token
+  /// the pipeline keeps, with its memoised id, or on a memo miss with
+  /// kInvalidTerm and the uncached pipeline's term. Counts tokens and
+  /// misses; inserts nothing.
+  template <typename Emit>
+  void ScanReadOnly(std::string_view input, Emit&& emit) const;
 
   AnalyzerOptions options_;
   Tokenizer tokenizer_;
   StopwordSet stopwords_;
 
-  mutable std::shared_mutex mu_;  // guards vocab_ and memo_
+  mutable std::mutex mu_;  // guards vocab_ and memo_
   Vocabulary vocab_;
   StringIdMap memo_;  // normalised token -> TermId or kDropped
   mutable std::atomic<uint64_t> misses_{0};

@@ -48,12 +48,10 @@ StopwordSet StopwordSet::English() {
   return set;
 }
 
-void StopwordSet::Add(std::string_view word) {
-  if (!Contains(word)) words_.Insert(word, 0);
-}
+void StopwordSet::Add(std::string_view word) { words_.emplace(word); }
 
 bool StopwordSet::Contains(std::string_view word) const {
-  return words_.Find(word) != nullptr;
+  return words_.find(std::string(word)) != words_.end();
 }
 
 }  // namespace adrec::text

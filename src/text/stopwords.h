@@ -3,8 +3,7 @@
 
 #include <string>
 #include <string_view>
-
-#include "text/string_id_map.h"
+#include <unordered_set>
 
 namespace adrec::text {
 
@@ -28,7 +27,7 @@ class StopwordSet {
   size_t size() const { return words_.size(); }
 
  private:
-  StringIdMap words_;  // word -> 0: a set
+  std::unordered_set<std::string> words_;
 };
 
 }  // namespace adrec::text

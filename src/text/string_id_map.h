@@ -15,7 +15,8 @@ namespace adrec::text {
 /// arena span and the value, so a probe reads one slot and, on a hash
 /// match, the key bytes: about one cache miss per lookup on a large
 /// table, where a node-based map takes several. Linear probing at load
-/// ≤ 1/2; no erase (the tables only grow).
+/// ≤ 1/2; no erase (the tables only grow). Arena spans are 32-bit:
+/// Insert aborts once the keys' bytes would pass 4 GiB.
 class StringIdMap {
  public:
   /// Values must be below this; it marks an empty slot.
